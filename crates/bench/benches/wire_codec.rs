@@ -37,6 +37,10 @@ fn bench_codec(c: &mut Criterion) {
         group.bench_function(format!("encode_{format:?}"), |b| {
             let mut buf = Vec::new();
             b.iter(|| {
+                // Recycle the buffer as the transport does: drained, with
+                // its capacity kept. Without the clear every frame would
+                // append to (and checksum) all the previous ones.
+                buf.clear();
                 buf = encode_frame(format, &batch, records as u64, std::mem::take(&mut buf));
                 buf.len()
             })

@@ -30,7 +30,7 @@ use crate::driver::{
 };
 use crate::program::{seeded_global, SpinnerProgram, AGG_LOADS};
 use crate::state::{EdgeState, Label, Phase, VertexState, NO_LABEL};
-use spinner_graph::conversion::from_undirected_edges;
+use spinner_graph::conversion::{from_undirected_edges, patch_undirected_edges};
 use spinner_graph::mutation::apply_delta;
 use spinner_graph::{DirectedGraph, GraphDelta, UndirectedGraph, VertexId};
 use spinner_pregel::engine::Engine;
@@ -385,7 +385,9 @@ pub struct StreamSession {
     cfg: SpinnerConfig,
     /// The evolving directed edge list (deltas apply here).
     graph: DirectedGraph,
-    /// The current undirected view the partitioner runs on.
+    /// The current undirected view the partitioner runs on. Always equal to
+    /// `from_undirected_edges(&graph)`: delta windows patch it in step with
+    /// the directed graph instead of rebuilding it.
     undirected: UndirectedGraph,
     labels: Vec<Label>,
     engine: Engine<SpinnerProgram>,
@@ -543,7 +545,7 @@ impl StreamSession {
         let labels = match &event {
             StreamEvent::Delta(delta) => {
                 self.graph = apply_delta(&self.graph, delta);
-                self.undirected = from_undirected_edges(&self.graph);
+                self.undirected = patch_undirected_edges(&self.undirected, &self.graph, delta);
                 incremental_labels(&self.undirected, &self.labels, self.cfg.k)
             }
             StreamEvent::Resize { k } => {
@@ -1195,6 +1197,51 @@ mod tests {
         assert!(session.label_assignment().is_some(), "loss must install the label map");
         assert!(report.is_recovery());
         assert!(report.placement_moved() > 0, "hash → by-label re-place must migrate");
+    }
+
+    /// The patched undirected view never drifts from a full rebuild, across
+    /// delta windows with vertex arrivals (explicit and implicit), resizes
+    /// and worker losses.
+    #[test]
+    fn patched_undirected_view_matches_a_rebuild_every_window() {
+        let g0 = base(1200, 19);
+        let mut session = StreamSession::new(g0.clone(), cfg(4));
+        let mut stream = DeltaStream::new(
+            g0,
+            DeltaStreamConfig {
+                windows: 3,
+                vertex_fraction: 0.01,
+                seed: 29,
+                ..DeltaStreamConfig::default()
+            },
+        );
+        let events = [
+            StreamEvent::Delta(stream.next().expect("window")),
+            StreamEvent::Resize { k: 6 },
+            StreamEvent::Delta(stream.next().expect("window")),
+            StreamEvent::WorkerLoss { worker: 1 },
+            StreamEvent::Delta(stream.next().expect("window")),
+            StreamEvent::Resize { k: 4 },
+        ];
+        for event in events {
+            session.apply(event);
+            assert_eq!(session.undirected(), &from_undirected_edges(session.graph()));
+        }
+        // A junk-laden delta: self-loops, duplicates, an edge both added and
+        // removed, absent and out-of-range removals, and adds minting
+        // vertices beyond the explicit arrivals.
+        let v = session.graph().num_vertices();
+        let u = session.graph().edges().next().expect("an edge");
+        session.apply(StreamEvent::Delta(GraphDelta {
+            added_edges: vec![(3, 3), (v + 4, 2), (0, v + 1), (0, v + 1), u, (u.1, u.0)],
+            removed_edges: vec![u, (v + 9, 0), (2, 2), (1, v + 30)],
+            new_vertices: 2,
+        }));
+        assert_eq!(session.graph().num_vertices(), v + 5);
+        assert_eq!(session.labels().len(), (v + 5) as usize);
+        assert_eq!(session.undirected(), &from_undirected_edges(session.graph()));
+        session.apply(StreamEvent::WorkerLoss { worker: 0 });
+        assert_eq!(session.undirected(), &from_undirected_edges(session.graph()));
     }
 
     #[test]

@@ -18,66 +18,25 @@
 //! fidelity, while this module provides the equivalent offline conversion
 //! used by default because it avoids materialising O(E) messages. Both paths
 //! are asserted equal in integration tests.
+//!
+//! For streams, [`patch_undirected_edges`] carries a unit-weight view across
+//! a [`GraphDelta`] without re-symmetrising the whole graph.
 
 use crate::directed::DirectedGraph;
-use crate::ids::{sym_edge_key, unpack_edge_key, EdgeWeight, VertexId};
+use crate::ids::{edge_key, sym_edge_key, unpack_edge_key, EdgeWeight, VertexId};
+use crate::mutation::{patch_csr, GraphDelta};
 use crate::undirected::UndirectedGraph;
 
 /// Converts a directed graph into the weighted undirected graph of Eq. 3.
 pub fn to_weighted_undirected(g: &DirectedGraph) -> UndirectedGraph {
-    let n = g.num_vertices() as usize;
-
-    // 1. Canonical key per directed edge; sort + dedup yields each undirected
-    //    pair exactly once.
-    let mut pairs: Vec<u64> = Vec::with_capacity(g.num_edges() as usize);
-    for (u, v) in g.edges() {
-        pairs.push(sym_edge_key(u, v));
-    }
-    pairs.sort_unstable();
-    pairs.dedup();
-
-    // 2. Degree counting pass for the symmetric CSR.
-    let mut offsets = vec![0u64; n + 1];
-    for &key in &pairs {
-        let (a, b) = unpack_edge_key(key);
-        offsets[a as usize + 1] += 1;
-        offsets[b as usize + 1] += 1;
-    }
-    for i in 0..n {
-        offsets[i + 1] += offsets[i];
-    }
-
-    // 3. Fill pass. `cursor` tracks the next free slot per vertex.
-    let mut cursor: Vec<u64> = offsets[..n].to_vec();
-    let total = *offsets.last().unwrap() as usize;
-    let mut targets = vec![0 as VertexId; total];
-    let mut weights = vec![0 as EdgeWeight; total];
-    for &key in &pairs {
-        let (a, b) = unpack_edge_key(key);
-        // Reciprocity test on the original CSR: both directions present?
-        let w: EdgeWeight = if g.has_edge(a, b) && g.has_edge(b, a) { 2 } else { 1 };
-        let ca = cursor[a as usize] as usize;
-        targets[ca] = b;
-        weights[ca] = w;
-        cursor[a as usize] += 1;
-        let cb = cursor[b as usize] as usize;
-        targets[cb] = a;
-        weights[cb] = w;
-        cursor[b as usize] += 1;
-    }
-    // Pairs were processed in ascending (a, b) order, and for a fixed vertex
-    // the counterpart ids arrive ascending too, so each adjacency run is
-    // already sorted.
-    UndirectedGraph::from_csr(offsets, targets, weights)
+    symmetrise(g, 2)
 }
 
 /// Symmetrises a graph *without* weights (every edge weight 1), i.e. the
 /// "naive approach" the paper contrasts against in §III-A/Fig. 1. Used by the
 /// conversion ablation experiment.
 pub fn to_naive_undirected(g: &DirectedGraph) -> UndirectedGraph {
-    let weighted = to_weighted_undirected(g);
-    let (offsets, targets, weights) = weighted.as_csr();
-    UndirectedGraph::from_csr(offsets.to_vec(), targets.to_vec(), vec![1; weights.len()])
+    symmetrise(g, 1)
 }
 
 /// Interprets an already-undirected edge list (each edge listed once in an
@@ -85,6 +44,104 @@ pub fn to_naive_undirected(g: &DirectedGraph) -> UndirectedGraph {
 /// datasets that are undirected at the source (Tuenti, Friendster).
 pub fn from_undirected_edges(g: &DirectedGraph) -> UndirectedGraph {
     to_naive_undirected(g)
+}
+
+/// The symmetric CSR of `g`: row `v` is the union of `v`'s out- and
+/// in-neighbours, weight 1 on a one-way pair and `reciprocal_weight` when
+/// both directions exist.
+///
+/// A counting-sort transpose visits sources in ascending order, so every
+/// in-neighbour run comes out sorted; each row is then one linear merge of
+/// two sorted runs. Cost is `O(V + E)` with no sort of the edge set.
+fn symmetrise(g: &DirectedGraph, reciprocal_weight: EdgeWeight) -> UndirectedGraph {
+    let n = g.num_vertices() as usize;
+    let (out_offsets, out_targets) = g.as_csr();
+
+    let mut in_offsets = vec![0u64; n + 1];
+    for &t in out_targets {
+        in_offsets[t as usize + 1] += 1;
+    }
+    for i in 0..n {
+        in_offsets[i + 1] += in_offsets[i];
+    }
+    let mut cursor: Vec<u64> = in_offsets[..n].to_vec();
+    let mut in_sources = vec![0 as VertexId; out_targets.len()];
+    for u in 0..n {
+        for &t in &out_targets[out_offsets[u] as usize..out_offsets[u + 1] as usize] {
+            in_sources[cursor[t as usize] as usize] = u as VertexId;
+            cursor[t as usize] += 1;
+        }
+    }
+
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0u64);
+    let mut targets = Vec::with_capacity(2 * out_targets.len());
+    let mut weights = Vec::with_capacity(2 * out_targets.len());
+    for v in 0..n {
+        let outs = &out_targets[out_offsets[v] as usize..out_offsets[v + 1] as usize];
+        let ins = &in_sources[in_offsets[v] as usize..in_offsets[v + 1] as usize];
+        let (mut i, mut j) = (0, 0);
+        while i < outs.len() && j < ins.len() {
+            let (a, b) = (outs[i], ins[j]);
+            let t = a.min(b);
+            i += usize::from(a == t);
+            j += usize::from(b == t);
+            targets.push(t);
+            weights.push(if a == b { reciprocal_weight } else { 1 });
+        }
+        // At most one of the two runs has a tail left.
+        for &t in outs[i..].iter().chain(&ins[j..]) {
+            targets.push(t);
+            weights.push(1);
+        }
+        offsets.push(targets.len() as u64);
+    }
+    UndirectedGraph::from_csr(offsets, targets, weights)
+}
+
+/// Patches the unit-weight view `old` of a graph after `delta` turned that
+/// graph into `new`, returning what [`from_undirected_edges`]`(new)` would.
+///
+/// Precondition: `old == from_undirected_edges(old_directed)` and
+/// `new == apply_delta(old_directed, delta)`. Only the pairs the delta
+/// names are re-decided — `{u, v}` is present iff `new` has `u → v` or
+/// `v → u` — and the changed ones are merged into both endpoints' rows;
+/// every other row is copied. Cost is `O(V + E)` copying plus
+/// `O(Δ log Δ)`, with no re-symmetrisation of the edge set.
+pub fn patch_undirected_edges(
+    old: &UndirectedGraph,
+    new: &DirectedGraph,
+    delta: &GraphDelta,
+) -> UndirectedGraph {
+    let n = new.num_vertices();
+    let mut pairs: Vec<u64> = delta
+        .added_edges
+        .iter()
+        .chain(&delta.removed_edges)
+        .filter(|&&(u, v)| u != v && u.max(v) < n)
+        .map(|&(u, v)| sym_edge_key(u, v))
+        .collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    let (mut inserts, mut deletes) = (Vec::new(), Vec::new());
+    for key in pairs {
+        // a < b, so b in range means the whole pair is in range.
+        let (a, b) = unpack_edge_key(key);
+        let was = b < old.num_vertices() && old.edge_weight(a, b).is_some();
+        let is = new.has_edge(a, b) || new.has_edge(b, a);
+        let edits = match (was, is) {
+            (false, true) => &mut inserts,
+            (true, false) => &mut deletes,
+            _ => continue,
+        };
+        edits.extend([edge_key(a, b), edge_key(b, a)]);
+    }
+    inserts.sort_unstable();
+    deletes.sort_unstable();
+    let (offsets, targets, _) = old.as_csr();
+    let (offsets, targets) = patch_csr(offsets, targets, n as usize, &inserts, &deletes);
+    let weights = vec![1; targets.len()];
+    UndirectedGraph::from_csr(offsets, targets, weights)
 }
 
 #[cfg(test)]

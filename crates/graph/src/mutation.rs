@@ -7,9 +7,8 @@
 //! canonical social-network mechanism: most new edges close open triangles
 //! (friend-of-friend), the rest connect random pairs.
 
-use crate::builder::GraphBuilder;
 use crate::directed::DirectedGraph;
-use crate::ids::VertexId;
+use crate::ids::{edge_key, unpack_edge_key, VertexId};
 use crate::rng::SplitMix64;
 
 /// A batch of changes to apply to a directed graph.
@@ -68,14 +67,12 @@ impl GraphDelta {
         // apply_delta, so they contribute nothing to the inverse. The added
         // set is indexed once so large churn deltas invert in linear time.
         let added: std::collections::HashSet<u64> =
-            self.added_edges.iter().map(|&(u, v)| crate::ids::edge_key(u, v)).collect();
+            self.added_edges.iter().map(|&(u, v)| edge_key(u, v)).collect();
         let mut undo_remove: Vec<(VertexId, VertexId)> = self
             .removed_edges
             .iter()
             .copied()
-            .filter(|&(u, v)| {
-                u < n && base.has_edge(u, v) && !added.contains(&crate::ids::edge_key(u, v))
-            })
+            .filter(|&(u, v)| u < n && base.has_edge(u, v) && !added.contains(&edge_key(u, v)))
             .collect();
         undo_remove.sort_unstable();
         undo_remove.dedup();
@@ -83,26 +80,115 @@ impl GraphDelta {
     }
 }
 
-/// Applies a delta, producing the updated graph.
+/// Applies a delta, producing the updated graph. The edge set becomes
+/// `(E \ removed) ∪ added`: an edge both added and removed survives, and
+/// added self-loops are dropped. The vertex range grows by `new_vertices`,
+/// then further to fit every added endpoint, exactly as
+/// [`crate::GraphBuilder`] would.
 ///
-/// Cost is a full rebuild (`O(E log E)`); the paper's incremental story is
-/// about the *partitioning*, not the graph storage, so a rebuild is fine.
+/// Cost is one pass over the CSR rows: untouched rows are copied verbatim
+/// and each touched row is merged with its sorted edits, so a window costs
+/// `O(V + E)` copying plus `O(Δ log Δ)` for sorting the delta — no sort of
+/// the edge set.
 pub fn apply_delta(g: &DirectedGraph, delta: &GraphDelta) -> DirectedGraph {
-    let n = g.num_vertices() + delta.new_vertices;
-    let mut removed: Vec<u64> =
-        delta.removed_edges.iter().map(|&(u, v)| crate::ids::edge_key(u, v)).collect();
-    removed.sort_unstable();
-    let mut b = GraphBuilder::new(n)
-        .with_edge_capacity(g.num_edges() as usize + delta.added_edges.len());
-    for (u, v) in g.edges() {
-        if removed.binary_search(&crate::ids::edge_key(u, v)).is_err() {
-            b.add_edge(u, v);
+    let added = sorted_keys(delta.added_edges.iter().filter(|&&(u, v)| u != v));
+    let removed = sorted_keys(delta.removed_edges.iter());
+    let n = added
+        .iter()
+        .map(|&key| {
+            let (u, v) = unpack_edge_key(key);
+            u.max(v) + 1
+        })
+        .fold(g.num_vertices() + delta.new_vertices, VertexId::max);
+    let (offsets, targets) = g.as_csr();
+    let (offsets, targets) = patch_csr(offsets, targets, n as usize, &added, &removed);
+    DirectedGraph::from_csr(offsets, targets)
+}
+
+/// The [`edge_key`]s of `edges`, sorted and deduplicated.
+fn sorted_keys<'a>(edges: impl Iterator<Item = &'a (VertexId, VertexId)>) -> Vec<u64> {
+    let mut keys: Vec<u64> = edges.map(|&(u, v)| edge_key(u, v)).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    keys
+}
+
+/// Rewrites CSR adjacency rows into `n` rows (`n` at least the old row
+/// count; rows past the old range start empty). Row `v` of the result is
+/// row `v` without the deletes of source `v`, plus the inserts of source
+/// `v`. `inserts` and `deletes` are sorted, deduplicated [`edge_key`]s;
+/// every insert's source must be below `n`, and deletes naming no edge are
+/// ignored. Each maximal run of untouched rows is copied with one slice
+/// copy and a constant offset shift.
+pub(crate) fn patch_csr(
+    offsets: &[u64],
+    targets: &[VertexId],
+    n: usize,
+    inserts: &[u64],
+    deletes: &[u64],
+) -> (Vec<u64>, Vec<VertexId>) {
+    let old_n = offsets.len() - 1;
+    debug_assert!(n >= old_n, "patch_csr never drops rows");
+    let mut new_offsets = Vec::with_capacity(n + 1);
+    new_offsets.push(0u64);
+    let mut new_targets = Vec::with_capacity(targets.len() + inserts.len());
+    let (mut inserts, mut deletes) = (inserts, deletes);
+    let mut v = 0;
+    loop {
+        let next = [inserts.first(), deletes.first()]
+            .into_iter()
+            .flatten()
+            .map(|&key| unpack_edge_key(key).0 as usize)
+            .fold(n, usize::min);
+        // Rows v..next are untouched; those below old_n are copied in bulk.
+        let hi = next.min(old_n).max(v);
+        if v < hi {
+            let (lo, start) = (offsets[v], new_targets.len() as u64);
+            new_targets.extend_from_slice(&targets[lo as usize..offsets[hi] as usize]);
+            new_offsets.extend(offsets[v + 1..=hi].iter().map(|&o| o - lo + start));
+        }
+        new_offsets.resize(next + 1, new_targets.len() as u64);
+        if next == n {
+            return (new_offsets, new_targets);
+        }
+        let row = if next < old_n {
+            &targets[offsets[next] as usize..offsets[next + 1] as usize]
+        } else {
+            &[]
+        };
+        let row_inserts = take_row(&mut inserts, next);
+        let row_deletes = take_row(&mut deletes, next);
+        merge_row(row, row_inserts, row_deletes, &mut new_targets);
+        new_offsets.push(new_targets.len() as u64);
+        v = next + 1;
+    }
+}
+
+/// Splits off the leading keys of `keys` whose source is `v`.
+fn take_row<'a>(keys: &mut &'a [u64], v: usize) -> &'a [u64] {
+    let len = keys.partition_point(|&key| unpack_edge_key(key).0 as usize == v);
+    let (row, rest) = keys.split_at(len);
+    *keys = rest;
+    row
+}
+
+/// Appends `(row \ deletes) ∪ inserts` to `out` in ascending order. The
+/// edits are keys of one source, so their low halves are sorted targets.
+fn merge_row(row: &[VertexId], inserts: &[u64], deletes: &[u64], out: &mut Vec<VertexId>) {
+    let mut inserts = inserts.iter().map(|&key| key as VertexId).peekable();
+    let mut deletes = deletes.iter().map(|&key| key as VertexId).peekable();
+    for &t in row {
+        while let Some(a) = inserts.next_if(|&a| a < t) {
+            out.push(a);
+        }
+        let reinserted = inserts.next_if_eq(&t).is_some();
+        while deletes.next_if(|&d| d < t).is_some() {}
+        let deleted = deletes.next_if_eq(&t).is_some();
+        if reinserted || !deleted {
+            out.push(t);
         }
     }
-    for &(u, v) in &delta.added_edges {
-        b.add_edge(u, v);
-    }
-    b.build()
+    out.extend(inserts);
 }
 
 /// Samples `count` plausible new friendship edges not present in `g`.
@@ -139,7 +225,7 @@ pub fn sample_new_edges(
         if u == v || g.has_edge(u, v) {
             continue;
         }
-        let key = crate::ids::edge_key(u, v);
+        let key = edge_key(u, v);
         if seen.insert(key) {
             out.push((u, v));
         }
@@ -202,6 +288,7 @@ fn triadic_candidate(g: &DirectedGraph, rng: &mut SplitMix64) -> Option<(VertexI
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::GraphBuilder;
     use crate::generators::{planted_partition, SbmConfig};
 
     fn graph() -> DirectedGraph {
@@ -235,7 +322,7 @@ mod tests {
         let g = graph();
         let edges = sample_new_edges(&g, 500, 0.8, 9);
         assert_eq!(edges.len(), 500);
-        let mut keys: Vec<_> = edges.iter().map(|&(u, v)| crate::ids::edge_key(u, v)).collect();
+        let mut keys: Vec<_> = edges.iter().map(|&(u, v)| edge_key(u, v)).collect();
         keys.sort_unstable();
         keys.dedup();
         assert_eq!(keys.len(), 500);
@@ -335,8 +422,7 @@ mod tests {
         let g = graph();
         let removed = sample_removed_edges(&g, 300, 7);
         assert_eq!(removed.len(), 300);
-        let mut keys: Vec<_> =
-            removed.iter().map(|&(u, v)| crate::ids::edge_key(u, v)).collect();
+        let mut keys: Vec<_> = removed.iter().map(|&(u, v)| edge_key(u, v)).collect();
         keys.sort_unstable();
         keys.dedup();
         assert_eq!(keys.len(), 300, "duplicate removals sampled");

@@ -2,13 +2,62 @@
 //! conversion, deltas, and I/O round-trips.
 
 use proptest::prelude::*;
-use spinner_graph::conversion::{to_naive_undirected, to_weighted_undirected};
+use proptest::sample::Index;
+use spinner_graph::conversion::{
+    from_undirected_edges, patch_undirected_edges, to_naive_undirected, to_weighted_undirected,
+};
 use spinner_graph::mutation::{apply_delta, sample_new_edges, sample_removed_edges};
-use spinner_graph::{DeltaStream, DeltaStreamConfig, GraphBuilder, GraphDelta, VertexId};
+use spinner_graph::{
+    DeltaStream, DeltaStreamConfig, DirectedGraph, GraphBuilder, GraphDelta, VertexId,
+};
+
+type Edge = (VertexId, VertexId);
 
 /// Arbitrary edge list over up to `n` vertices.
-fn edge_list(n: u32, max_edges: usize) -> impl Strategy<Value = Vec<(VertexId, VertexId)>> {
+fn edge_list(n: u32, max_edges: usize) -> impl Strategy<Value = Vec<Edge>> {
     prop::collection::vec((0..n, 0..n), 0..max_edges)
+}
+
+/// Raw material of a junk-laden delta over a graph of about `n` vertices:
+/// additions whose endpoints reach past `n` (minting vertices; self-loops
+/// included), picks of additions to repeat, picks of live edges to remove,
+/// removals of absent or out-of-range edges, picks of additions to remove
+/// as well, and explicit vertex arrivals.
+type DeltaParts = (Vec<Edge>, Vec<Index>, Vec<Index>, Vec<Edge>, (Vec<Index>, u32));
+
+fn delta_parts(n: u32) -> impl Strategy<Value = DeltaParts> {
+    let picks = |max| prop::collection::vec(any::<Index>(), 0..max);
+    (edge_list(n + 6, 30), picks(12), picks(12), edge_list(n + 10, 8), (picks(6), 0u32..3))
+}
+
+fn pick(picks: &[Index], from: &[Edge]) -> Vec<Edge> {
+    if from.is_empty() {
+        return Vec::new();
+    }
+    picks.iter().map(|i| *i.get(from)).collect()
+}
+
+/// Assembles [`DeltaParts`] against the live edges of `g`.
+fn junk_delta(g: &DirectedGraph, parts: DeltaParts) -> GraphDelta {
+    let (added, repeats, live, bogus, (both, new_vertices)) = parts;
+    let existing: Vec<Edge> = g.edges().collect();
+    let mut added_edges = added.clone();
+    added_edges.extend(pick(&repeats, &added));
+    let mut removed_edges = pick(&live, &existing);
+    removed_edges.extend(bogus);
+    removed_edges.extend(pick(&both, &added));
+    GraphDelta { added_edges, removed_edges, new_vertices }
+}
+
+/// The full rebuild `apply_delta` must reproduce: every surviving edge and
+/// every addition pushed through a [`GraphBuilder`] sized for the arrivals.
+fn rebuild_oracle(g: &DirectedGraph, delta: &GraphDelta) -> DirectedGraph {
+    let removed: std::collections::HashSet<Edge> =
+        delta.removed_edges.iter().copied().collect();
+    GraphBuilder::new(g.num_vertices() + delta.new_vertices)
+        .add_edges(g.edges().filter(|e| !removed.contains(e)))
+        .add_edges(delta.added_edges.iter().copied())
+        .build()
 }
 
 proptest! {
@@ -108,6 +157,52 @@ proptest! {
                 prop_assert!(g2.has_edge(a, b), "lost edge {}->{}", a, b);
             }
         }
+    }
+
+    /// The row-merging apply_delta is bit-identical to a full rebuild on
+    /// junk-laden deltas: duplicate additions, self-loops, additions minting
+    /// vertices past the range, explicit arrivals, absent or out-of-range
+    /// removals, and edges both added and removed.
+    #[test]
+    fn delta_application_matches_rebuild(base in edge_list(20, 100), parts in delta_parts(20)) {
+        let g = GraphBuilder::new(20).add_edges(base).build();
+        let delta = junk_delta(&g, parts);
+        prop_assert_eq!(apply_delta(&g, &delta), rebuild_oracle(&g, &delta));
+    }
+
+    /// Patching the unit-weight undirected view window by window never
+    /// drifts from re-symmetrising the evolved graph.
+    #[test]
+    fn patched_undirected_view_matches_rebuild(
+        base in edge_list(20, 100),
+        windows in prop::collection::vec(delta_parts(20), 1..6),
+    ) {
+        let mut g = GraphBuilder::new(20).add_edges(base).build();
+        let mut u = from_undirected_edges(&g);
+        for parts in windows {
+            let delta = junk_delta(&g, parts);
+            let next = apply_delta(&g, &delta);
+            u = patch_undirected_edges(&u, &next, &delta);
+            g = next;
+            prop_assert_eq!(&u, &from_undirected_edges(&g));
+        }
+    }
+
+    /// The unit-weight view has the weighted view's structure with every
+    /// weight 1, and both match a brute-force symmetrisation: the builder
+    /// over both directions of every edge.
+    #[test]
+    fn unit_view_is_the_weighted_view_unweighted(edges in edge_list(30, 200)) {
+        let g = GraphBuilder::new(30).add_edges(edges).build();
+        let unit = from_undirected_edges(&g);
+        let weighted = to_weighted_undirected(&g);
+        let both_ways = GraphBuilder::new(g.num_vertices())
+            .add_edges(g.edges().flat_map(|(a, b)| [(a, b), (b, a)]))
+            .build();
+        let (offsets, targets, weights) = unit.as_csr();
+        prop_assert_eq!((offsets, targets), (weighted.as_csr().0, weighted.as_csr().1));
+        prop_assert_eq!((offsets, targets), both_ways.as_csr());
+        prop_assert!(weights.iter().all(|&w| w == 1));
     }
 
     /// Edge-list I/O round-trips.
