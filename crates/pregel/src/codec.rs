@@ -5,9 +5,8 @@
 //!
 //! This module began life in `spinner-serving` (the snapshot + WAL codec);
 //! it moved here so the message fabric's wire format ([`crate::wire`]) and
-//! the persistence layer share one implementation. `spinner_serving::codec`
-//! re-exports everything, so existing callers and the serving test suite
-//! pin the behaviour unchanged.
+//! the persistence layer share one implementation; `spinner_serving`
+//! imports it from here.
 
 use std::fmt;
 

@@ -2,7 +2,7 @@
 
 use crate::aggregate::AggValue;
 use crate::program::Program;
-use crate::types::WorkerId;
+use crate::types::{Batch, WorkerId, BROADCAST_MULTI};
 use spinner_graph::rng::SplitMix64;
 use spinner_graph::VertexId;
 
@@ -70,40 +70,32 @@ impl<'a, E> Edges<'a, E> {
 /// destination worker (plus one fast-path record) instead of one per edge —
 /// the receiver expands it through its fan-out index — so the announce-to-
 /// all-neighbours pattern costs `O(workers)` records per vertex instead of
-/// `O(degree)`. Delivery expansion reproduces the per-edge send order
+/// `O(degree)`. A broadcast record carries the sender's plain id and is
+/// flagged by a mark beside it in its [`Batch`], so every id stays
+/// representable. Delivery expansion reproduces the per-edge send order
 /// exactly, so results stay bit-identical to the unicast path (pinned by
 /// the `fabric_grid` tests; the unicast arm stays available through
 /// [`EngineConfig::broadcast_fabric`]).
 ///
 /// [`OutboxGrid`]: crate::types::OutboxGrid
+/// [`Batch`]: crate::types::Batch
 /// [`EngineConfig::broadcast_fabric`]: crate::engine::EngineConfig::broadcast_fabric
 pub struct Mailer<'a, M> {
-    pub(crate) outboxes: &'a mut [Vec<(VertexId, M)>],
-    /// Sideband broadcast marks, parallel to `outboxes`: the positions of
-    /// broadcast records within each outbox, maintained only in sideband
-    /// mode (see `sideband`). Unused — and left empty — on the direct path.
-    pub(crate) outbox_marks: &'a mut [Vec<u32>],
+    /// Outboxes indexed by destination worker.
+    pub(crate) outboxes: &'a mut [Batch<M>],
     /// The worker-local queue (fast path for `worker_of[target] == my_worker`).
-    pub(crate) local: &'a mut Vec<(VertexId, M)>,
-    /// Sideband broadcast marks for the worker-local queue.
-    pub(crate) local_marks: &'a mut Vec<u32>,
+    pub(crate) local: &'a mut Batch<M>,
     pub(crate) worker_of: &'a [WorkerId],
     pub(crate) my_worker: WorkerId,
-    /// The sending vertex (tags its broadcast records).
+    /// The sending vertex (the id of its broadcast records).
     pub(crate) sender: VertexId,
     /// The sending vertex's full engine adjacency — the target set a
     /// broadcast implies, and the slice `send_to_all` compares against to
     /// recognise a full-adjacency send.
     pub(crate) adjacency: &'a [VertexId],
     /// Whether the broadcast lane may be used this superstep (config on,
-    /// ids taggable, and no graph mutation has stalled the fan-out index).
+    /// and no graph mutation has stalled the fan-out index).
     pub(crate) lane_open: bool,
-    /// Sideband broadcast tagging (the wire path): broadcast records carry
-    /// the *untagged* sender id and their queue positions are recorded in
-    /// the marks vectors instead of stealing the id's top bit — which is
-    /// what frees the wire path from the in-memory lane's 2³¹ id cap. The
-    /// direct path keeps the tag-bit scheme (`false`).
-    pub(crate) sideband: bool,
     /// The sender's broadcast plan, precomputed at load time: its
     /// adjacency's distinct destination workers in first-occurrence order
     /// (one fabric record each). Empty when the lane is closed.
@@ -111,8 +103,6 @@ pub struct Mailer<'a, M> {
     /// Parallel to `bcast_plan`: [`BROADCAST_MULTI`] for a fanned-out
     /// record, or the lone neighbour's id where a plain unicast record is
     /// cheaper (see [`BROADCAST_MULTI`]).
-    ///
-    /// [`BROADCAST_MULTI`]: crate::types::BROADCAST_MULTI
     pub(crate) bcast_single: &'a [VertexId],
     /// Worker-local neighbours of the sender (the logical local deliveries
     /// one broadcast implies), precomputed at load time.
@@ -139,11 +129,11 @@ impl<'a, M> Mailer<'a, M> {
         if w == self.my_worker {
             *self.sent_local += 1;
             *self.sent_local_records += 1;
-            self.local.push((target, msg));
+            self.local.push(target, msg);
         } else {
             *self.sent_remote += 1;
             *self.sent_remote_records += 1;
-            self.outboxes[w as usize].push((target, msg));
+            self.outboxes[w as usize].push(target, msg);
         }
     }
 }
@@ -161,9 +151,8 @@ impl<'a, M: Clone> Mailer<'a, M> {
     /// worker) pairs)`.
     ///
     /// Falls back to per-edge sends when the lane is closed: broadcast
-    /// disabled by [`EngineConfig::broadcast_fabric`], vertex ids beyond the
-    /// taggable 2³¹ range, or a graph mutation this run having outdated the
-    /// load-time fan-out index.
+    /// disabled by [`EngineConfig::broadcast_fabric`], or a graph mutation
+    /// this run having outdated the load-time fan-out index.
     ///
     /// [`EngineConfig::broadcast_fabric`]: crate::engine::EngineConfig::broadcast_fabric
     pub fn broadcast(&mut self, msg: M) {
@@ -173,35 +162,23 @@ impl<'a, M: Clone> Mailer<'a, M> {
             }
             return;
         }
-        // Sideband mode (the wire path) records broadcast positions in the
-        // marks vectors and ships the sender id untagged, so ids ≥ 2³¹
-        // stay representable; the direct path steals the id top bit.
-        let tagged = if self.sideband {
-            self.sender
-        } else {
-            debug_assert_eq!(self.sender & crate::types::BROADCAST_TAG, 0);
-            self.sender | crate::types::BROADCAST_TAG
-        };
         // The load-time plan already deduplicated the destination workers
         // and counted the logical local/remote split, so a broadcast costs
         // O(distinct destination workers) — no per-edge scan at all.
         *self.sent_local += self.bcast_local as u64;
         *self.sent_remote += self.bcast_remote as u64;
         for (&w, &single) in self.bcast_plan.iter().zip(self.bcast_single) {
-            let multi = single == crate::types::BROADCAST_MULTI;
-            let id = if multi { tagged } else { single };
-            if w == self.my_worker {
+            let batch = if w == self.my_worker {
                 *self.sent_local_records += 1;
-                if multi && self.sideband {
-                    self.local_marks.push(self.local.len() as u32);
-                }
-                self.local.push((id, msg.clone()));
+                &mut *self.local
             } else {
                 *self.sent_remote_records += 1;
-                if multi && self.sideband {
-                    self.outbox_marks[w as usize].push(self.outboxes[w as usize].len() as u32);
-                }
-                self.outboxes[w as usize].push((id, msg.clone()));
+                &mut self.outboxes[w as usize]
+            };
+            if single == BROADCAST_MULTI {
+                batch.push_broadcast(self.sender, msg.clone());
+            } else {
+                batch.push(single, msg.clone());
             }
         }
     }
@@ -364,5 +341,55 @@ impl<'a, P: Program> VertexContext<'a, P> {
     #[inline]
     pub fn degree(&self) -> usize {
         self.edges.len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A broadcast ships the sender's plain id with a mark beside it, so a
+    /// sender past 2^31 is as representable as any other id; a lone
+    /// neighbour on a worker ships as an unmarked unicast record.
+    #[test]
+    fn broadcast_marks_untagged_sender_ids() {
+        let sender: VertexId = 0x8000_0005;
+        let lone: VertexId = 0x8000_0009;
+        let mut outboxes: Vec<Batch<u32>> = (0..3).map(|_| Batch::default()).collect();
+        let mut local = Batch::default();
+        let (mut sent_local, mut sent_remote) = (0, 0);
+        let (mut sent_local_records, mut sent_remote_records) = (0, 0);
+        let mut mail = Mailer {
+            outboxes: &mut outboxes,
+            local: &mut local,
+            worker_of: &[],
+            my_worker: 0,
+            sender,
+            adjacency: &[],
+            lane_open: true,
+            bcast_plan: &[0, 1, 2],
+            bcast_single: &[BROADCAST_MULTI, lone, BROADCAST_MULTI],
+            bcast_local: 2,
+            bcast_remote: 3,
+            sent_local: &mut sent_local,
+            sent_remote: &mut sent_remote,
+            sent_local_records: &mut sent_local_records,
+            sent_remote_records: &mut sent_remote_records,
+        };
+        mail.broadcast(7u32);
+
+        assert_eq!(local.records, [(sender, 7)]);
+        assert_eq!(local.marks, [1]);
+        assert_eq!(outboxes[1].records, [(lone, 7)]);
+        assert!(outboxes[1].marks.is_empty());
+        assert_eq!(outboxes[2].records, [(sender, 7)]);
+        assert_eq!(outboxes[2].marks, [1]);
+        assert_eq!((sent_local, sent_remote), (2, 3));
+        assert_eq!((sent_local_records, sent_remote_records), (1, 2));
+
+        let mut drained = Vec::new();
+        outboxes[2].drain(|broadcast, id, msg| drained.push((broadcast, id, msg)));
+        assert_eq!(drained, [(true, sender, 7)]);
+        assert!(outboxes[2].is_empty() && outboxes[2].marks.is_empty());
     }
 }

@@ -35,9 +35,9 @@ use crate::reliable::ReliableTransport;
 use crate::transport::{
     RetryConfig, RingTransport, Transport, TransportError, TransportKind, TransportStats,
 };
-use crate::types::{OutboxGrid, WorkerId, BROADCAST_MULTI, BROADCAST_TAG};
+use crate::types::{OutboxGrid, WorkerId, BROADCAST_MULTI};
 use crate::wire::WireFormat;
-use crate::worker::Worker;
+use crate::worker::{Fabric, Worker};
 use crate::Placement;
 use spinner_graph::{DirectedGraph, UndirectedGraph, VertexId};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -169,20 +169,14 @@ fn build_transport_stack(
 /// face of the engine's internal `lane_open` flag. Every closed state used
 /// to look identical from outside (broadcasts silently fell back to
 /// per-edge unicast); [`Engine::lane_status`] names the cause so the perf
-/// cliff of an oversized id space or a mid-run mutation shows up in
-/// diagnostics instead of only in throughput.
+/// cliff of a mid-run mutation shows up in diagnostics instead of only in
+/// throughput.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaneStatus {
     /// The lane is open: broadcasts ship one record per destination worker.
     Open,
     /// `EngineConfig::broadcast_fabric` is off (the verification arm).
     DisabledByConfig,
-    /// The vertex-id space does not fit beside [`BROADCAST_TAG`]
-    /// (more than 2³¹ vertices), so the fan-out index was never built and
-    /// every broadcast ships as per-edge unicast for this topology. Only
-    /// possible on the direct in-memory path: a serialising transport
-    /// carries the broadcast flag out of band and has no id cap.
-    IdSpaceExceeded,
     /// A graph mutation was applied mid-run, outdating the load-time
     /// fan-out index; the lane reopens at the next topology (re)load.
     ClosedByMutation,
@@ -267,12 +261,12 @@ pub struct Engine<P: Program> {
     mail_grid: OutboxGrid<P::M>,
     /// The serialization boundary, when one is configured
     /// ([`EngineConfig::transport`]): `None` keeps the zero-copy direct
-    /// path; `Some` routes every cross-worker batch through
-    /// [`Worker::publish_wire`] / [`Worker::deliver_and_build_wire`].
+    /// path; `Some` encodes every cross-worker batch into a frame (see
+    /// [`Fabric`]).
     transport: Option<Box<dyn Transport>>,
     /// Whether the broadcast lane is currently usable: opened at (re)load
-    /// time (config on, vertex ids taggable) and closed — for the rest of
-    /// the run — by the first applied graph mutation, which outdates the
+    /// time when the config enables it, and closed — for the rest of the
+    /// run — by the first applied graph mutation, which outdates the
     /// load-time fan-out index. Workers snapshot it at each compute phase;
     /// the store happens in the delivery phase, so the superstep barrier
     /// orders it before every read.
@@ -369,7 +363,7 @@ impl<P: Program> Engine<P> {
         let snapshot: Vec<AggValue> = specs.iter().map(|s| s.identity()).collect();
         let global = program.init_global();
         let mail_grid: OutboxGrid<P::M> =
-            (0..num_workers * num_workers).map(|_| Mutex::new(Vec::new())).collect();
+            (0..num_workers * num_workers).map(|_| Mutex::default()).collect();
         let transport = build_transport_stack(&config, num_workers);
         let mut engine = Self {
             program,
@@ -595,16 +589,7 @@ impl<P: Program> Engine<P> {
         // split into worker-local ones (served by the fast-path queue) and
         // the rest — and, with the broadcast lane on, counting each worker's
         // fan-out index entries per sender in the same sweep.
-        //
-        // The *direct* lane needs vertex ids to fit beside
-        // [`BROADCAST_TAG`]; larger graphs fall back to per-edge unicast
-        // there. The wire path carries the broadcast flag out of band
-        // (sideband marks in memory, section headers on the wire), so it
-        // has no id cap and the lane stays open at any size. Either way
-        // the fallback is *diagnosable*, not silent:
-        // [`Engine::lane_status`] reports `IdSpaceExceeded`.
-        let build_fanout =
-            fanout_allowed(self.config.broadcast_fabric, self.transport.is_some(), n as u64);
+        let build_fanout = self.config.broadcast_fabric;
         // The fan-out vectors move out of the workers for the build (two
         // simultaneous worker borrows otherwise: reading one worker's
         // adjacency while counting into another's index) and are handed
@@ -760,16 +745,15 @@ impl<P: Program> Engine<P> {
 
     /// Current state of the broadcast lane, with the cause when closed —
     /// see [`LaneStatus`]. Derived, not stored: the engine keeps one
-    /// boolean and this method names why it is what it is. Precedence when
-    /// several causes hold: a disabled config wins over an oversized id
-    /// space (the lane would not have been built regardless of size).
+    /// boolean and this method names why it is what it is.
     pub fn lane_status(&self) -> LaneStatus {
-        derive_lane_status(
-            self.lane_open.load(Ordering::Acquire),
-            self.config.broadcast_fabric,
-            self.transport.is_some(),
-            self.num_vertices,
-        )
+        if self.lane_open.load(Ordering::Acquire) {
+            LaneStatus::Open
+        } else if !self.config.broadcast_fabric {
+            LaneStatus::DisabledByConfig
+        } else {
+            LaneStatus::ClosedByMutation
+        }
     }
 
     /// Installs (or replaces) a scripted transport fault plan and rebuilds
@@ -849,7 +833,12 @@ impl<P: Program> Engine<P> {
     /// inline in worker order (bit-identical results by construction).
     fn run_serial(&mut self, metrics: &mut Vec<SuperstepMetrics>) -> HaltReason {
         let num_workers = self.workers.len();
-        let sideband = self.transport.is_some();
+        let fabric = Fabric::new(
+            self.transport.as_deref(),
+            &self.mail_grid,
+            self.config.wire_format,
+            self.config.sender_fold,
+        );
         for superstep in 0..self.config.max_supersteps {
             let step_start = Instant::now();
             let lane_open = self.lane_open.load(Ordering::Acquire);
@@ -871,41 +860,14 @@ impl<P: Program> Engine<P> {
                     self.num_vertices,
                     lane_open,
                     self.config.dense_scan,
-                    sideband,
                 );
-                match self.transport.as_deref() {
-                    Some(t) => {
-                        if let Err(e) = w.publish_wire(
-                            &self.program,
-                            t,
-                            self.config.wire_format,
-                            self.config.sender_fold,
-                            num_workers,
-                        ) {
-                            publish_error.get_or_insert(e);
-                        }
-                    }
-                    None => w.publish_outboxes(&self.mail_grid, num_workers),
+                if let Err(e) = w.publish(&self.program, fabric, num_workers) {
+                    publish_error.get_or_insert(e);
                 }
             }
             for w in &mut self.workers {
-                match self.transport.as_deref() {
-                    Some(t) => {
-                        if let Err(e) = w.deliver_and_build_wire(
-                            &self.program,
-                            t,
-                            &self.local_idx,
-                            num_workers,
-                        ) {
-                            delivery_error.get_or_insert(e);
-                        }
-                    }
-                    None => w.deliver_and_build(
-                        &self.program,
-                        &self.mail_grid,
-                        &self.local_idx,
-                        num_workers,
-                    ),
+                if let Err(e) = w.deliver(&self.program, fabric, &self.local_idx, num_workers) {
+                    delivery_error.get_or_insert(e);
                 }
                 w.apply_mutations(&self.lane_open);
             }
@@ -968,12 +930,14 @@ impl<P: Program> Engine<P> {
         let num_vertices = self.num_vertices;
         let dense_scan = self.config.dense_scan;
         let work_stealing = self.config.work_stealing;
-        // `Option<&dyn Transport>` is `Copy`, so each pool thread captures
-        // its own copy of the shared handle (the trait requires `Sync`).
-        let transport = self.transport.as_deref();
-        let wire_format = self.config.wire_format;
-        let sender_fold = self.config.sender_fold;
-        let sideband = transport.is_some();
+        // `Fabric` is `Copy`, so each pool thread captures its own copy of
+        // the shared handle (the transport trait requires `Sync`).
+        let fabric = Fabric::new(
+            self.transport.as_deref(),
+            &self.mail_grid,
+            self.config.wire_format,
+            self.config.sender_fold,
+        );
         let chunk = if self.config.steal_chunk == 0 {
             num_workers.div_ceil(threads)
         } else {
@@ -985,7 +949,6 @@ impl<P: Program> Engine<P> {
         let specs = self.specs.as_slice();
         let worker_of = self.worker_of.as_slice();
         let local_idx = self.local_idx.as_slice();
-        let grid = &self.mail_grid;
         let lane = &self.lane_open;
         let master =
             RwLock::new(MasterState { snapshot: &mut self.snapshot, global: &mut self.global });
@@ -1065,40 +1028,20 @@ impl<P: Program> Engine<P> {
                                     num_vertices,
                                     lane_open,
                                     dense_scan,
-                                    sideband,
                                 );
-                                match transport {
-                                    Some(t) => {
-                                        if let Err(e) = w.publish_wire(
-                                            program,
-                                            t,
-                                            wire_format,
-                                            sender_fold,
-                                            num_workers,
-                                        ) {
-                                            slots[wi]
-                                                .lock()
-                                                .expect("step slot")
-                                                .publish_error
-                                                .get_or_insert(e);
-                                        }
-                                    }
-                                    None => w.publish_outboxes(grid, num_workers),
+                                if let Err(e) = w.publish(program, fabric, num_workers) {
+                                    slots[wi]
+                                        .lock()
+                                        .expect("step slot")
+                                        .publish_error
+                                        .get_or_insert(e);
                                 }
                             });
                         }
                         barrier.wait();
                         sweep(superstep * 2 + 1, &mut |wi| {
                             let mut w = cells[wi].lock().expect("worker cell");
-                            let delivered = match transport {
-                                Some(t) => {
-                                    w.deliver_and_build_wire(program, t, local_idx, num_workers)
-                                }
-                                None => {
-                                    w.deliver_and_build(program, grid, local_idx, num_workers);
-                                    Ok(())
-                                }
-                            };
+                            let delivered = w.deliver(program, fabric, local_idx, num_workers);
                             w.apply_mutations(lane);
                             let mut slot = slots[wi].lock().expect("step slot");
                             if let Err(e) = delivered {
@@ -1246,66 +1189,4 @@ fn superstep_epilogue<'a, P: Program>(
         None
     };
     (step, reason)
-}
-
-/// Whether the load-time broadcast fan-out index should be built: the lane
-/// must be enabled, and on the direct path vertex ids must fit beside
-/// [`BROADCAST_TAG`]. The wire path carries the broadcast flag out of band
-/// (sideband marks in memory, section flags on the wire), so it is exempt
-/// from the id cap.
-pub(crate) fn fanout_allowed(broadcast_fabric: bool, wire: bool, num_vertices: u64) -> bool {
-    broadcast_fabric && (wire || num_vertices <= BROADCAST_TAG as u64)
-}
-
-/// Names why the broadcast lane is in its current state — the pure core of
-/// [`Engine::lane_status`]. Precedence when several causes hold: a disabled
-/// config wins over an oversized id space (the lane would not have been
-/// built regardless of size), and `IdSpaceExceeded` is only reported on the
-/// direct path — a serialising transport has no id cap, so a closed lane
-/// there can only mean a mutation.
-pub(crate) fn derive_lane_status(
-    lane_open: bool,
-    broadcast_fabric: bool,
-    wire: bool,
-    num_vertices: u64,
-) -> LaneStatus {
-    if lane_open {
-        LaneStatus::Open
-    } else if !broadcast_fabric {
-        LaneStatus::DisabledByConfig
-    } else if !wire && num_vertices > BROADCAST_TAG as u64 {
-        LaneStatus::IdSpaceExceeded
-    } else {
-        LaneStatus::ClosedByMutation
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    const BIG: u64 = 3_000_000_000; // > 2^31 vertices
-
-    #[test]
-    fn fanout_gate_caps_only_the_direct_path() {
-        assert!(fanout_allowed(true, false, 1_000));
-        assert!(!fanout_allowed(true, false, BIG));
-        // The wire path keeps the lane at any size …
-        assert!(fanout_allowed(true, true, BIG));
-        assert!(fanout_allowed(true, true, u64::MAX));
-        // … but never resurrects a disabled fabric.
-        assert!(!fanout_allowed(false, true, 1_000));
-    }
-
-    #[test]
-    fn lane_status_is_transport_aware() {
-        assert_eq!(derive_lane_status(true, true, false, BIG), LaneStatus::Open);
-        assert_eq!(derive_lane_status(false, false, false, 10), LaneStatus::DisabledByConfig);
-        // Direct path, oversized id space: the cap is real.
-        assert_eq!(derive_lane_status(false, true, false, BIG), LaneStatus::IdSpaceExceeded);
-        // Wire path: no id cap, so a closed lane means a mutation — the
-        // old code misreported this as IdSpaceExceeded.
-        assert_eq!(derive_lane_status(false, true, true, BIG), LaneStatus::ClosedByMutation);
-        assert_eq!(derive_lane_status(false, true, false, 10), LaneStatus::ClosedByMutation);
-    }
 }

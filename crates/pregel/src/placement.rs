@@ -48,38 +48,12 @@ impl Placement {
         Self { worker_of, num_workers }
     }
 
-    /// Placement defined by partition labels (Spinner's output): vertices
-    /// with the same label land on the same worker, via the paper's §V-F
-    /// hash `worker(v) = l(v) mod L`.
-    ///
-    /// `num_workers` may exceed the number of distinct labels; labels are
-    /// taken modulo `num_workers`.
-    ///
-    /// **Balance hazard**: when the label count `k` exceeds `num_workers`,
-    /// the modulo wrap can pile several large labels onto the same worker
-    /// (labels `w, w + L, w + 2L, …` all collide) while other workers host
-    /// only small ones — worker loads then bear no relation to the
-    /// partitioning's balance guarantee. Use [`Self::from_labels_balanced`]
-    /// whenever worker balance matters; this variant is kept for the
-    /// paper-faithful hash and for `k <= num_workers` setups, where the two
-    /// differ only in which worker a label lands on.
-    #[deprecated(
-        since = "0.1.0",
-        note = "the modulo wrap piles large labels onto one worker when k > num_workers; \
-                use `from_labels_balanced` (or `from_label_assignment` to reuse a map)"
-    )]
-    pub fn from_labels(labels: &[u32], num_workers: usize) -> Self {
-        assert!(num_workers > 0 && num_workers <= WorkerId::MAX as usize + 1);
-        let worker_of =
-            labels.iter().map(|&l| (l as usize % num_workers) as WorkerId).collect();
-        Self { worker_of, num_workers }
-    }
-
     /// Balance-aware label placement: labels are packed onto workers with a
     /// greedy longest-processing-time heuristic (largest label first, onto
-    /// the currently least-loaded worker) instead of [`Self::from_labels`]'s
-    /// modulo wrap, so worker loads stay within the packing bound even when
-    /// `k > num_workers`. Vertices with the same label still land on the
+    /// the currently least-loaded worker) instead of the paper's §V-F hash
+    /// `worker(v) = l(v) mod L`, whose modulo wrap can pile several large
+    /// labels onto one worker when `k > num_workers`; worker loads stay
+    /// within the packing bound for any `k`. Vertices with the same label still land on the
     /// same worker. Fully deterministic: equal vertex counts break ties on
     /// the smaller label, equal worker loads on the smaller worker id.
     pub fn from_labels_balanced(labels: &[u32], num_workers: usize) -> Self {
@@ -226,26 +200,9 @@ mod tests {
         assert_ne!(p.worker_of(0), p.worker_of(3));
     }
 
-    /// Pinned behavior of the deprecated `from_labels`: the §V-F modulo hash
-    /// `worker(v) = l(v) mod L`, including the wrap that motivates the
-    /// deprecation (labels 5 and 1 collide on worker 1 with L = 4). Keep
-    /// until `from_labels` is removed.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_from_labels_wraps_modulo_workers() {
-        let labels = vec![5, 1];
-        let p = Placement::from_labels(&labels, 4);
-        assert_eq!(p.worker_of(0), 1);
-        assert_eq!(p.worker_of(1), 1);
-        // Same label still lands on the same worker.
-        let q = Placement::from_labels(&[2, 0, 2, 1, 0], 3);
-        assert_eq!(q.worker_of(0), q.worker_of(2));
-        assert_eq!(q.worker_of(1), q.worker_of(4));
-    }
-
-    /// The documented `from_labels` hazard: with k > L the modulo wrap can
-    /// stack the heaviest labels on one worker (labels 0 and 2 collide mod 2
-    /// for worker sizes [100, 10]); the balanced packing keeps the
+    /// The hazard of a `label mod L` placement: with k > L the modulo wrap
+    /// can stack the heaviest labels on one worker (labels 0 and 2 collide
+    /// mod 2, giving worker sizes [100, 10]); the balanced packing keeps the
     /// same-label-same-worker property while spreading the load.
     #[test]
     fn balanced_fixes_modulo_pileup() {

@@ -26,9 +26,9 @@
 //!           broadcast ids: count × varint absolute               count × write_compact
 //! ```
 //!
-//! The broadcast flag rides in the **section header**, not the id top bit
-//! (the in-memory lane's `BROADCAST_TAG` trick), so the wire keeps the
-//! broadcast lane open for ids ≥ 2^31 — ids are full `u64` on the wire.
+//! The broadcast flag rides in the **section header**, the wire form of
+//! the in-memory batch's broadcast marks ([`crate::types::Batch`]), so ids
+//! stay full-width — `u64` on the wire.
 //! The trailing `unicast_logical` varint carries the *pre-fold* logical
 //! unicast record count, so receiver-side `recv_remote` accounting is
 //! invariant under sender-side combiner folding. The CRC-32 covers every
@@ -274,8 +274,8 @@ impl<A: WirePayload, B: WirePayload> WirePayload for (A, B) {
 /// One decoded message record: destination (or sender, for broadcasts)
 /// vertex id, broadcast flag, and payload.
 ///
-/// `id` is `u64` on the wire — the wire path has no 2^31 cap, unlike the
-/// in-memory lane's tag-bit scheme.
+/// `id` is `u64` on the wire, wider than any vertex id; the broadcast flag
+/// travels in the section header, never in the id.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WireRecord<M> {
     /// True when this record is a broadcast (id names the *sender*; the
@@ -353,18 +353,6 @@ pub fn encode_frame<M: WirePayload>(
 /// logical-count varint + 4-byte CRC. Transport decorators use this bound
 /// to reject torn frames before structural decoding.
 pub const MIN_FRAME_LEN: usize = 7;
-
-/// Whether `bytes` ends with a valid frame CRC — the fast structural check
-/// a transport reliability layer runs before accepting a frame, without
-/// decoding any records. Equivalent to [`decode_frame`]'s first gate.
-pub fn frame_checksum_ok(bytes: &[u8]) -> bool {
-    if bytes.len() < MIN_FRAME_LEN {
-        return false;
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 4);
-    let expect = u32::from_le_bytes(tail.try_into().expect("4-byte CRC tail"));
-    crc32(body) == expect
-}
 
 /// Decodes a frame produced by [`encode_frame`], appending the records to
 /// `out` in their encoded order and returning the pre-fold logical unicast
@@ -493,8 +481,8 @@ mod tests {
 
     #[test]
     fn ids_beyond_the_lane_cap_round_trip() {
-        // The in-memory lane caps ids below 2^31 (the BROADCAST_TAG bit);
-        // the wire carries full u64 ids in both formats.
+        // The broadcast flag travels in the section header, so ids past
+        // 2^31 (or u32) round-trip in both formats.
         let records = [
             WireRecord { broadcast: true, id: 1u64 << 31, msg: 1u32 },
             WireRecord { broadcast: true, id: u64::MAX, msg: 2 },

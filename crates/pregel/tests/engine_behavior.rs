@@ -271,6 +271,4 @@ fn lane_status_names_why_broadcasts_fall_back() {
     let cfg = EngineConfig { broadcast_fabric: false, ..config() };
     let engine = Engine::from_directed(Reverser, &g, &placement, cfg, |_| 0, |_, _, _| 1u8);
     assert_eq!(engine.lane_status(), LaneStatus::DisabledByConfig);
-    // (LaneStatus::IdSpaceExceeded needs > 2^31 vertices — beyond what a
-    // unit test can allocate; the derivation is the same precedence chain.)
 }

@@ -13,9 +13,9 @@ use spinner_pregel::wire::{decode_frame, encode_frame, WireError, WireRecord};
 use spinner_pregel::{Placement, TransportKind, VertexContext, WireFormat};
 
 /// Arbitrary wire record: broadcast flag, an id drawn from one of three
-/// regimes (small, straddling the 2³¹ direct-path cap, full `u64`), and a
-/// payload. Ids at and above `1 << 31` are the point: the frame format must
-/// carry them even though the in-memory direct path cannot.
+/// regimes (small, straddling 2³¹, full `u64`), and a payload. Ids at and
+/// above `1 << 31` are the point: the frame format carries the full `u64`
+/// range, with the broadcast flag kept out of the id.
 fn record() -> impl Strategy<Value = WireRecord<u64>> {
     (any::<bool>(), 0u8..3, any::<u64>(), any::<u64>()).prop_map(
         |(broadcast, regime, raw, msg)| {

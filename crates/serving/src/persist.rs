@@ -7,10 +7,10 @@ use std::{fmt, io};
 
 use spinner_core::{SessionState, StreamSession};
 
-use crate::codec::CorruptError;
 use crate::fault::{DiskStorage, Storage, StoreFile};
 use crate::snapshot::{decode_state, encode_state};
 use crate::wal::{read_wal, WalRecord};
+use spinner_pregel::codec::CorruptError;
 
 /// Snapshot file name inside a disk-backed store directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.bin";

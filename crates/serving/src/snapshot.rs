@@ -14,7 +14,7 @@ use spinner_graph::GraphBuilder;
 use spinner_pregel::{RetryConfig, TransportKind, WireFormat};
 use std::time::Duration;
 
-use crate::codec::{crc32, ByteReader, ByteWriter, CorruptError, Result};
+use spinner_pregel::codec::{crc32, ByteReader, ByteWriter, CorruptError, Result};
 
 /// Magic prefix of a snapshot file (versioned; bump on layout change —
 /// `SPNRSNP2` added `lost_vertices` to the window-report record;

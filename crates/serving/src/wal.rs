@@ -19,8 +19,8 @@ use spinner_graph::mutation::apply_delta;
 use spinner_graph::{GraphDelta, VertexId};
 use spinner_pregel::WorkerId;
 
-use crate::codec::{crc32, ByteReader, ByteWriter, CorruptError, Result};
 use crate::snapshot::{put_report, read_report};
+use spinner_pregel::codec::{crc32, ByteReader, ByteWriter, CorruptError, Result};
 
 /// One window's entry in the write-ahead log: the event and the state
 /// delta its application produced.
